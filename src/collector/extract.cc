@@ -32,24 +32,18 @@ void DatasetBundle::merge(DatasetBundle&& other) {
   session_peers.merge(other.session_peers);
 }
 
-void DatasetBuilder::ingest(const RawEntry& entry) {
-  ++bundle_.extraction.entries_total;
-  if (entry.from_rib) ++bundle_.extraction.rib_entries;
-  bundle_.session_peers.insert(entry.session_peer_asn);
-  for (const auto& segment : entry.as_path.segments()) {
-    for (const bgp::Asn asn : segment.asns) bundle_.raw_asns.insert(asn);
-  }
-  for (const auto& c : entry.comms) {
-    ++bundle_.extraction.communities_total;
-    if (c.kind == bgp::CommunityKind::kLarge) ++bundle_.extraction.large_communities_total;
-    bundle_.unique_comms.insert(c);
-  }
-  if (auto tuple = sanitizer_.process(entry)) {
-    bundle_.dataset.push_back(std::move(*tuple));
-  }
-}
-
-void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
+template <class Census, class TupleSink>
+void TupleExtractor::walk(std::span<const std::uint8_t> dump, Census&& census, TupleSink&& sink) {
+  const auto emit = [&](const RawEntry& entry) {
+    census(entry);
+    ++extraction_.entries_total;
+    if (entry.from_rib) ++extraction_.rib_entries;
+    for (const auto& c : entry.comms) {
+      ++extraction_.communities_total;
+      if (c.kind == bgp::CommunityKind::kLarge) ++extraction_.large_communities_total;
+    }
+    if (auto tuple = sanitizer_.process(entry)) sink(std::move(*tuple));
+  };
   mrt::MrtReader reader(dump);
   std::optional<mrt::PeerIndexTable> peer_table;
 
@@ -65,7 +59,7 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
           auto rib = mrt::RibRecord::decode(rec->body, subtype);
           for (auto& entry : rib.entries) {
             if (!peer_table || entry.peer_index >= peer_table->peers.size()) {
-              ++bundle_.extraction.decode_errors;
+              ++extraction_.decode_errors;
               continue;
             }
             RawEntry raw;
@@ -76,7 +70,7 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
             if (entry.attributes.as_path) raw.as_path = std::move(*entry.attributes.as_path);
             raw.comms = entry.attributes.all_communities();
             raw.from_rib = true;
-            ingest(raw);
+            emit(raw);
           }
           break;
         }
@@ -90,11 +84,11 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
           const auto msg = mrt::Bgp4mpMessage::decode(rec->body, subtype);
           const auto header = bgp::peek_header(msg.bgp_message);
           if (header.type != bgp::MessageType::kUpdate) break;
-          ++bundle_.extraction.update_messages;
+          ++extraction_.update_messages;
           auto update = bgp::UpdateMessage::decode(msg.bgp_message, msg.as4);
-          bundle_.extraction.withdrawals += update.withdrawn.size();
+          extraction_.withdrawals += update.withdrawn.size();
           if (update.attributes.mp_unreach) {
-            bundle_.extraction.withdrawals += update.attributes.mp_unreach->withdrawn.size();
+            extraction_.withdrawals += update.attributes.mp_unreach->withdrawn.size();
           }
           // All announced prefixes share one attribute block: build the
           // entry once (moving the path and merged communities in) and only
@@ -107,7 +101,7 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
           raw.from_rib = false;
           const auto ingest_prefix = [&](const bgp::Prefix& prefix) {
             raw.prefix = prefix;
-            ingest(raw);
+            emit(raw);
           };
           for (const auto& prefix : update.nlri) ingest_prefix(prefix);
           if (update.attributes.mp_reach) {
@@ -119,13 +113,31 @@ void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
           break;
       }
     } catch (const bgp::WireError&) {
-      ++bundle_.extraction.decode_errors;
+      ++extraction_.decode_errors;
     }
   }
 }
 
+void TupleExtractor::add_dump(std::span<const std::uint8_t> dump, const Sink& sink) {
+  walk(dump, [](const RawEntry&) {}, sink);
+}
+
+void DatasetBuilder::add_dump(std::span<const std::uint8_t> dump) {
+  extractor_.walk(
+      dump,
+      [this](const RawEntry& entry) {
+        bundle_.session_peers.insert(entry.session_peer_asn);
+        for (const auto& segment : entry.as_path.segments()) {
+          for (const bgp::Asn asn : segment.asns) bundle_.raw_asns.insert(asn);
+        }
+        for (const auto& c : entry.comms) bundle_.unique_comms.insert(c);
+      },
+      [this](core::PathCommTuple&& tuple) { bundle_.dataset.push_back(std::move(tuple)); });
+}
+
 DatasetBundle DatasetBuilder::finish() {
-  bundle_.sanitation = sanitizer_.stats();
+  bundle_.extraction = extractor_.extraction();
+  bundle_.sanitation = extractor_.sanitation();
   core::deduplicate(bundle_.dataset);
   return std::move(bundle_);
 }

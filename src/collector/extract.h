@@ -5,6 +5,7 @@
 #define BGPCU_COLLECTOR_EXTRACT_H
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -41,10 +42,44 @@ struct DatasetBundle {
   void merge(DatasetBundle&& other);
 };
 
-/// Streaming builder: feed MRT dump buffers, then `finish()`.
+/// The extraction every consumer shares: walks MRT dump buffers, decodes RIB
+/// and update records into raw entries, counts them (ExtractionStats) and
+/// sanitizes them. Each surviving tuple goes to the caller's sink as it is
+/// produced, so the caller decides how tuples are stored; nothing is kept
+/// per tuple here, and no Table-1 census is taken.
+class TupleExtractor {
+ public:
+  /// Receives each sanitized tuple (communities normalized) in dump order,
+  /// duplicates included.
+  using Sink = std::function<void(core::PathCommTuple&&)>;
+
+  explicit TupleExtractor(const registry::AllocationRegistry& reg) : sanitizer_(reg) {}
+
+  /// Extracts one dump (RIB or update file image). Decode errors are counted
+  /// per record and do not abort the dump.
+  void add_dump(std::span<const std::uint8_t> dump, const Sink& sink);
+
+  [[nodiscard]] const ExtractionStats& extraction() const noexcept { return extraction_; }
+  [[nodiscard]] const SanitationStats& sanitation() const noexcept { return sanitizer_.stats(); }
+
+ private:
+  friend class DatasetBuilder;
+
+  /// The one MRT decode walk: every raw entry goes to `census` (before
+  /// sanitation) and every sanitized tuple to `sink`.
+  template <class Census, class TupleSink>
+  void walk(std::span<const std::uint8_t> dump, Census&& census, TupleSink&& sink);
+
+  Sanitizer sanitizer_;
+  ExtractionStats extraction_;
+};
+
+/// Streaming builder: feed MRT dump buffers, then `finish()`. A
+/// TupleExtractor that collects the tuples into a dataset and takes the
+/// Table-1 census of raw ASNs, communities and session peers.
 class DatasetBuilder {
  public:
-  explicit DatasetBuilder(const registry::AllocationRegistry& reg) : sanitizer_(reg) {}
+  explicit DatasetBuilder(const registry::AllocationRegistry& reg) : extractor_(reg) {}
 
   /// Extracts one dump (RIB or update file image). Decode errors are counted
   /// per record and do not abort the dump.
@@ -54,9 +89,7 @@ class DatasetBuilder {
   [[nodiscard]] DatasetBundle finish();
 
  private:
-  void ingest(const RawEntry& entry);
-
-  Sanitizer sanitizer_;
+  TupleExtractor extractor_;
   DatasetBundle bundle_;
 };
 

@@ -1,11 +1,16 @@
 #include "stream/feed.h"
 
+#include <sys/mman.h>
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <compare>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -42,23 +47,170 @@ std::uint64_t inode_of(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? static_cast<std::uint64_t>(st.st_ino) : 0;
 }
 
+/// Takes blocks of 64 KiB and up straight from mmap. Extraction runs on
+/// pool workers, and glibc gives each worker its own malloc arena; a worker
+/// arena hands freed memory back only once its free top exceeds the trim
+/// threshold, which grows with the process's largest freed buffers (up to
+/// 64 MiB), and malloc_trim does not shrink it. A file's bytes and its run,
+/// allocated there, stayed resident after the poll: peak RSS rose by the
+/// largest file each worker had extracted. Mapped blocks are unmapped when
+/// freed, and what the workers still take from their arenas is per-record
+/// decode scratch.
+template <class T>
+struct MappedAllocator {
+  using value_type = T;
+  static constexpr std::size_t kMinMapped = std::size_t{64} << 10;
+
+  MappedAllocator() = default;
+  template <class U>
+  MappedAllocator(const MappedAllocator<U>&) noexcept {}  // rebind
+
+  T* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes < kMinMapped) return static_cast<T*>(::operator new(bytes));
+    void* block =
+        ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (block == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(block);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes < kMinMapped) {
+      ::operator delete(p);
+    } else {
+      ::munmap(p, bytes);
+    }
+  }
+  friend bool operator==(const MappedAllocator&, const MappedAllocator&) noexcept { return true; }
+};
+
+template <class T>
+using MappedVector = std::vector<T, MappedAllocator<T>>;
+
 /// Reads `path` from byte `offset` to EOF. Throws std::runtime_error when
 /// the file cannot be opened or a hard read error occurs. A *short* read is
 /// tolerated, not fatal: the size is sampled before the bytes are pulled, so
 /// a writer truncating or rotating the file in between legitimately hands us
 /// fewer bytes than the sample promised — the returned data is whatever was
 /// actually read, and the next poll re-examines the file.
-std::vector<std::uint8_t> read_from_offset(const std::string& path, std::uint64_t offset) {
+MappedVector<std::uint8_t> read_from_offset(const std::string& path, std::uint64_t offset) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open feed file: " + path);
   const auto size = static_cast<std::uint64_t>(in.tellg());
   if (size <= offset) return {};
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size - offset));
+  MappedVector<std::uint8_t> bytes(static_cast<std::size_t>(size - offset));
   in.seekg(static_cast<std::streamoff>(offset));
   in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
   if (in.bad()) throw std::runtime_error("cannot read feed file: " + path);
   bytes.resize(static_cast<std::size_t>(in.gcount()));
   return bytes;
+}
+
+/// core::deduplicate's order: path lexicographically, then the community set.
+template <class PathA, class CommsA, class PathB, class CommsB>
+std::strong_ordering tuple_order(const PathA& pa, const CommsA& ca, const PathB& pb,
+                                 const CommsB& cb) {
+  const auto by_path =
+      std::lexicographical_compare_three_way(pa.begin(), pa.end(), pb.begin(), pb.end());
+  if (by_path != 0) return by_path;
+  return std::lexicographical_compare_three_way(ca.begin(), ca.end(), cb.begin(), cb.end());
+}
+
+/// One file's tuples laid out back to back, plus the order that lists them
+/// sorted and without duplicates. An extraction task appends each tuple as
+/// the extractor produces it and sorts the order; the polling thread merges
+/// the runs and materialises the batch itself, so no per-tuple allocation
+/// of a worker outlives the task.
+class FlatRun {
+ public:
+  void append(const core::PathCommTuple& tuple) {
+    asns_.insert(asns_.end(), tuple.path.begin(), tuple.path.end());
+    comms_.insert(comms_.end(), tuple.comms.begin(), tuple.comms.end());
+    ends_.emplace_back(asns_.size(), comms_.size());
+  }
+
+  /// Sorts the tuples into core::deduplicate's order and drops repeats.
+  void sort_unique() {
+    order_.resize(ends_.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    const auto cmp = [this](std::size_t a, std::size_t b) {
+      return tuple_order(path_at(a), comms_at(a), path_at(b), comms_at(b));
+    };
+    std::sort(order_.begin(), order_.end(),
+              [&](std::size_t a, std::size_t b) { return cmp(a, b) < 0; });
+    order_.erase(std::unique(order_.begin(), order_.end(),
+                             [&](std::size_t a, std::size_t b) { return cmp(a, b) == 0; }),
+                 order_.end());
+  }
+
+  /// Sorted, unique tuple count (after sort_unique).
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  /// The i-th tuple in sorted order.
+  [[nodiscard]] std::span<const bgp::Asn> path(std::size_t i) const { return path_at(order_[i]); }
+  [[nodiscard]] std::span<const bgp::CommunityValue> comms(std::size_t i) const {
+    return comms_at(order_[i]);
+  }
+
+ private:
+  [[nodiscard]] std::span<const bgp::Asn> path_at(std::size_t t) const {
+    const std::size_t begin = t == 0 ? 0 : ends_[t - 1].first;
+    return {asns_.data() + begin, ends_[t].first - begin};
+  }
+  [[nodiscard]] std::span<const bgp::CommunityValue> comms_at(std::size_t t) const {
+    const std::size_t begin = t == 0 ? 0 : ends_[t - 1].second;
+    return {comms_.data() + begin, ends_[t].second - begin};
+  }
+
+  MappedVector<bgp::Asn> asns_;
+  MappedVector<bgp::CommunityValue> comms_;
+  /// Per appended tuple: one past its last ASN and its last community;
+  /// tuple t starts where tuple t - 1 ends.
+  MappedVector<std::pair<std::size_t, std::size_t>> ends_;
+  MappedVector<std::size_t> order_;
+};
+
+/// K-way merge of sorted, unique runs into one sorted, unique dataset —
+/// exactly what core::deduplicate returns over their concatenation. Ties
+/// between runs resolve in run order (equal tuples are identical anyway).
+core::Dataset merge_runs(const std::vector<const FlatRun*>& runs) {
+  struct Head {
+    const FlatRun* run;
+    std::size_t index;  ///< Next tuple of `run`.
+    std::size_t order;  ///< Run position, the tie-break.
+  };
+  // std::push_heap builds a max-heap, so "after" puts the smallest on top.
+  const auto after = [](const Head& a, const Head& b) {
+    const auto cmp = tuple_order(a.run->path(a.index), a.run->comms(a.index),
+                                 b.run->path(b.index), b.run->comms(b.index));
+    return cmp != 0 ? cmp > 0 : a.order > b.order;
+  };
+  std::vector<Head> heap;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    total += runs[i]->size();
+    if (runs[i]->size() != 0) heap.push_back({runs[i], 0, i});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+
+  core::Dataset out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    auto& head = heap.back();
+    const auto path = head.run->path(head.index);
+    const auto comms = head.run->comms(head.index);
+    if (out.empty() || tuple_order(out.back().path, out.back().comms, path, comms) != 0) {
+      auto& tuple = out.emplace_back();
+      tuple.path.assign(path.begin(), path.end());
+      tuple.comms.assign(comms.begin(), comms.end());
+    }
+    if (++head.index < head.run->size()) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -75,11 +227,57 @@ bool DirectoryFeed::head_changed(const std::string& path, const FileState& state
 }
 
 DirectoryFeed::DirectoryFeed(std::string directory, const registry::AllocationRegistry& registry,
-                             std::string extension, std::uint32_t settle_seconds)
+                             std::string extension, std::uint32_t settle_seconds,
+                             util::TaskPool& pool)
     : directory_(std::move(directory)),
       registry_(&registry),
       extension_(std::move(extension)),
-      settle_seconds_(settle_seconds) {}
+      settle_seconds_(settle_seconds),
+      pool_(&pool) {}
+
+struct DirectoryFeed::FileRead {
+  bool failed = false;
+  FileState state;            ///< The file's state after this read.
+  std::size_t consumed = 0;   ///< Bytes of complete records extracted.
+  FlatRun run;
+  collector::ExtractionStats extraction;
+  collector::SanitationStats sanitation;
+};
+
+DirectoryFeed::FileRead DirectoryFeed::read_file(const FreshFile& file) const {
+  FileRead read;
+  read.state = file.state;
+  auto& state = read.state;
+  try {
+    if (before_read_hook_) before_read_hook_(file.path);
+    state.inode = inode_of(file.path);
+    // The scan-time stamp, deliberately: a write landing between the scan's
+    // stat and this read moves the real mtime past the recorded one, so the
+    // next poll re-examines the file rather than skipping it.
+    state.mtime_seen = file.mtime_ticks;
+    const bool from_start = state.offset == 0;
+    const auto bytes = read_from_offset(file.path, state.offset);
+    if (from_start && !bytes.empty()) {
+      // Fingerprint the head while it is in hand: later polls compare these
+      // bytes to detect in-place rewrites the size cannot show.
+      state.head.assign(reinterpret_cast<const char*>(bytes.data()),
+                        std::min<std::size_t>(kHeadFingerprint, bytes.size()));
+    }
+    read.consumed = complete_record_prefix(bytes);
+    collector::TupleExtractor extractor(*registry_);
+    extractor.add_dump(std::span(bytes.data(), read.consumed),
+                       [&read](core::PathCommTuple&& tuple) { read.run.append(tuple); });
+    read.run.sort_unique();
+    read.extraction = extractor.extraction();
+    read.sanitation = extractor.sanitation();
+    state.offset += read.consumed;
+    state.size_seen = state.offset + (bytes.size() - read.consumed);
+  } catch (const std::exception&) {
+    read = FileRead{};
+    read.failed = true;
+  }
+  return read;
+}
 
 FeedPoll DirectoryFeed::poll() {
   auto& m = obs::metrics();
@@ -92,7 +290,7 @@ FeedPoll DirectoryFeed::poll() {
   // error_code overloads throughout the scan: a writer renaming or deleting
   // a file between the iterator yielding it and us stat-ing it is a normal
   // race for a tailed directory, not a reason to kill the service.
-  std::vector<std::pair<std::string, std::int64_t>> fresh;  // path, mtime ticks
+  std::vector<FreshFile> fresh;
   for (fs::directory_iterator end; it != end; it.increment(ec)) {
     if (ec) break;
     if (!it->is_regular_file(ec) || ec) continue;
@@ -142,56 +340,56 @@ FeedPoll DirectoryFeed::poll() {
         continue;
       }
     }
-    fresh.emplace_back(std::move(text), mtime_ticks);
+    fresh.push_back({std::move(text), mtime_ticks,
+                     state != files_.end() ? state->second : FileState{}});
   }
-  std::sort(fresh.begin(), fresh.end());
+  std::sort(fresh.begin(), fresh.end(),
+            [](const FreshFile& a, const FreshFile& b) { return a.path < b.path; });
 
   FeedPoll result;
   if (fresh.empty()) return result;
 
-  collector::DatasetBuilder builder(*registry_);
-  for (const auto& [path, mtime_ticks] : fresh) {
-    // A file that vanished or is unreadable keeps its recorded offset
-    // (retried next poll) and must not abort the batch — earlier files'
-    // tuples already live in this builder.
-    const auto known = files_.find(path);
-    FileState state = known != files_.end() ? known->second : FileState{};
-    std::size_t consumed = 0;
-    try {
-      state.inode = inode_of(path);
-      // The scan-time stamp, deliberately: a write landing between the
-      // scan's stat and this read moves the real mtime past the recorded
-      // one, so the next poll re-examines the file rather than skipping it.
-      state.mtime_seen = mtime_ticks;
-      const bool from_start = state.offset == 0;
-      const auto bytes = read_from_offset(path, state.offset);
-      if (from_start && !bytes.empty()) {
-        // Fingerprint the head while it is in hand: later polls compare
-        // these bytes to detect in-place rewrites the size cannot show.
-        state.head.assign(reinterpret_cast<const char*>(bytes.data()),
-                          std::min<std::size_t>(kHeadFingerprint, bytes.size()));
-      }
-      consumed = complete_record_prefix(bytes);
-      builder.add_dump(std::span(bytes.data(), consumed));
-      state.offset += consumed;
-      state.size_seen = state.offset + (bytes.size() - consumed);
-      if (consumed > 0) m.feed_bytes_read.add(consumed);
-    } catch (const std::exception&) {
+  // One task per file, claimed from a shared cursor by at most
+  // parallelism() - 1 lanes: the remaining core keeps the serving threads'
+  // query sweeps responsive while a large poll is in flight. One lane runs
+  // on this thread without touching the pool (TaskPool::parallel_for runs a
+  // count of 1 inline), so single-file polls never wait for the pool.
+  std::vector<FileRead> reads(fresh.size());
+  std::atomic<std::size_t> next{0};
+  const std::size_t lanes =
+      std::clamp<std::size_t>(pool_->parallelism() - 1, 1, fresh.size());
+  pool_->parallel_for(lanes, [&](std::size_t) {
+    for (auto i = next.fetch_add(1); i < fresh.size(); i = next.fetch_add(1)) {
+      reads[i] = read_file(fresh[i]);
+    }
+  });
+
+  // Bookkeeping in name order. A file that vanished or is unreadable keeps
+  // its recorded offset (retried next poll) and contributes nothing.
+  std::vector<const FlatRun*> runs;
+  runs.reserve(reads.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const auto& path = fresh[i].path;
+    const auto& read = reads[i];
+    if (read.failed) {
       result.failed.push_back(path);
       m.feed_read_failures.add(1);
       continue;
     }
-    files_[path] = state;
+    files_[path] = read.state;
+    runs.push_back(&read.run);
+    result.extraction += read.extraction;
+    result.sanitation += read.sanitation;
     // A poll that found only a partial trailing record consumed nothing:
     // don't report the file, or a data-less poll would count as an
     // ingesting epoch upstream (burning --window retention on no input).
     // The updated size_seen still prevents re-reading the tail every poll.
-    if (consumed > 0) result.files.push_back(path);
+    if (read.consumed > 0) {
+      m.feed_bytes_read.add(read.consumed);
+      result.files.push_back(path);
+    }
   }
-  auto bundle = builder.finish();
-  result.batch = std::move(bundle.dataset);
-  result.extraction = bundle.extraction;
-  result.sanitation = bundle.sanitation;
+  result.batch = merge_runs(runs);
   if (!result.files.empty()) m.feed_files_parsed.add(result.files.size());
   if (result.extraction.decode_errors != 0) {
     m.feed_decode_errors.add(result.extraction.decode_errors);

@@ -9,6 +9,7 @@
 #define BGPCU_STREAM_FEED_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "collector/extract.h"
 #include "core/types.h"
 #include "registry/registry.h"
+#include "util/task_pool.h"
 
 namespace bgpcu::stream {
 
@@ -53,9 +55,11 @@ class DirectoryFeed {
   /// the inputs. `settle_seconds` > 0 skips files modified within the last N
   /// seconds, protecting against collectors that write dumps in place
   /// instead of renaming them in (a partial file read once would otherwise
-  /// be marked seen and its tail lost forever).
+  /// be marked seen and its tail lost forever). A poll with several fresh
+  /// files extracts them on `pool` (which must outlive the feed).
   DirectoryFeed(std::string directory, const registry::AllocationRegistry& registry,
-                std::string extension = {}, std::uint32_t settle_seconds = 0);
+                std::string extension = {}, std::uint32_t settle_seconds = 0,
+                util::TaskPool& pool = util::TaskPool::shared());
 
   /// Scans for unseen files *and files that grew since the last poll* and
   /// extracts only their new bytes: the feed remembers a per-file read
@@ -67,6 +71,12 @@ class DirectoryFeed {
   /// individual file that cannot be read (race with a writer, permissions)
   /// is reported in FeedPoll::failed, its offset untouched, and retried on
   /// the next poll. Decode errors inside a file are counted, not thrown.
+  ///
+  /// Each fresh file is extracted as its own task on the pool, by at most
+  /// parallelism() - 1 lanes (one core stays with the serving threads; a
+  /// single file, or a pool of one or two threads, runs on the calling
+  /// thread). The tasks' sorted runs are merged in file-name order, so the
+  /// batch equals one serial DatasetBuilder over the same bytes.
   [[nodiscard]] FeedPoll poll();
 
   /// Number of distinct paths the feed has read bytes from.
@@ -82,6 +92,14 @@ class DirectoryFeed {
   /// left unrecorded; a file rotated while the process was down is detected
   /// by the usual size-shrink check and re-read from the start.
   void restore_marks(const FeedMarks& marks);
+
+  /// Test instrumentation: invoked with each fresh file's path right before
+  /// its bytes are read, on whichever thread extracts it (a pool worker or
+  /// the caller). Lets tests fail a read or hold a parallel poll in flight.
+  /// Set before polling; not synchronized itself.
+  void set_before_read_hook(std::function<void(const std::string&)> hook) {
+    before_read_hook_ = std::move(hook);
+  }
 
  private:
   /// Tail-reading bookkeeping for one path.
@@ -107,6 +125,20 @@ class DirectoryFeed {
   /// How many leading bytes the rewrite fingerprint covers.
   static constexpr std::size_t kHeadFingerprint = 64;
 
+  /// A file the scan found new bytes in, with its state before this poll.
+  struct FreshFile {
+    std::string path;
+    std::int64_t mtime_ticks = 0;
+    FileState state;
+  };
+
+  /// One fresh file's extraction (defined in feed.cc).
+  struct FileRead;
+
+  /// Reads and extracts one fresh file; runs on a pool thread. Touches no
+  /// member state but the registry and the hook.
+  [[nodiscard]] FileRead read_file(const FreshFile& file) const;
+
   /// True when `path`'s current first bytes no longer match `state.head`
   /// (the file was rewritten in place). Unreadable files report false — the
   /// read phase deals with them.
@@ -116,7 +148,9 @@ class DirectoryFeed {
   const registry::AllocationRegistry* registry_;
   std::string extension_;
   std::uint32_t settle_seconds_ = 0;
+  util::TaskPool* pool_;
   std::unordered_map<std::string, FileState> files_;
+  std::function<void(const std::string&)> before_read_hook_;
 };
 
 }  // namespace bgpcu::stream

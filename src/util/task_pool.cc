@@ -1,6 +1,27 @@
 #include "util/task_pool.h"
 
+#include <stdexcept>
+
 namespace bgpcu::util {
+
+namespace {
+
+/// The pool whose iteration this thread is running, if any.
+thread_local const TaskPool* running_pool = nullptr;
+
+/// Marks the current thread as running `pool`'s iterations for its scope.
+class RunningIn {
+ public:
+  explicit RunningIn(const TaskPool* pool) : previous_(running_pool) { running_pool = pool; }
+  ~RunningIn() { running_pool = previous_; }
+  RunningIn(const RunningIn&) = delete;
+  RunningIn& operator=(const RunningIn&) = delete;
+
+ private:
+  const TaskPool* previous_;
+};
+
+}  // namespace
 
 TaskPool::TaskPool(std::size_t workers) {
   workers_.reserve(workers);
@@ -44,7 +65,10 @@ void TaskPool::worker_loop() {
       last_seq = job_seq_;
       ++job->active;
     }
-    drain(*job);
+    {
+      const RunningIn running(this);
+      drain(*job);
+    }
     // The active count is the lifetime guard: the submitter frees the Job
     // (stack storage) only once active drops to zero, and both the drop and
     // the submitter's check happen under mutex_, so this is a worker's last
@@ -63,6 +87,9 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
+  if (running_pool == this) {
+    throw std::logic_error("TaskPool::parallel_for nested inside one of the pool's own tasks");
+  }
 
   Job job;
   job.body = &body;
@@ -77,7 +104,10 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
   }
   work_cv_.notify_all();
 
-  drain(job);  // The caller is always one of the lanes.
+  {
+    const RunningIn running(this);
+    drain(job);  // The caller is always one of the lanes.
+  }
 
   {
     std::unique_lock lock(mutex_);

@@ -54,7 +54,9 @@ class TaskPool {
   /// different threads serialize on an internal mutex (the latecomer's
   /// caller still participates once its job starts). If any iteration
   /// throws, the first exception is rethrown on the calling thread after the
-  /// remaining iterations complete.
+  /// remaining iterations complete. A call that would need the pool's
+  /// workers from inside one of this pool's own iterations throws
+  /// std::logic_error: it would wait for a job that is waiting for it.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// Process-wide pool sized to the machine (hardware_concurrency - 1

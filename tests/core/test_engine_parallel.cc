@@ -198,5 +198,25 @@ TEST(TaskPool, PropagatesFirstException) {
   EXPECT_EQ(ran.load(), 16);
 }
 
+TEST(TaskPool, NestedParallelForThrowsInsteadOfDeadlocking) {
+  // A task that fans out on its own pool would wait for workers that wait
+  // for it; the pool refuses the call, and the outer job reports it.
+  util::TaskPool pool(2);
+  util::TaskPool other(1);
+  std::atomic<int> inner{0};
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(2, [&](std::size_t) { inner.fetch_add(1); });
+                                 }),
+               std::logic_error);
+  EXPECT_EQ(inner.load(), 0);
+  // Another pool, and a single inline iteration, stay allowed from a task.
+  pool.parallel_for(4, [&](std::size_t) {
+    other.parallel_for(2, [&](std::size_t) { inner.fetch_add(1); });
+    pool.parallel_for(1, [&](std::size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 12);
+}
+
 }  // namespace
 }  // namespace bgpcu::core

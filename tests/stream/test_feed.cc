@@ -1,15 +1,22 @@
 // DirectoryFeed tests: incremental pickup of MRT update dumps written by the
-// repo's own writer, extension filtering, and error behavior.
+// repo's own writer, extension filtering, error behavior, and the parallel
+// poll's failure path and pool sharing.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <thread>
 
 #include "bgp/message.h"
+#include "core/engine.h"
 #include "mrt/bgp4mp.h"
 #include "mrt/writer.h"
 #include "registry/registry.h"
+#include "stream/engine.h"
 #include "stream/feed.h"
+#include "util/task_pool.h"
 
 namespace bgpcu::stream {
 namespace {
@@ -273,6 +280,116 @@ TEST_F(FeedTest, ShortGarbageFileIsHeldAsPendingWithoutThrowing) {
   EXPECT_EQ(poll.files.size(), 1u);
   EXPECT_EQ(poll.batch.size(), 1u);
   EXPECT_TRUE(feed.poll().empty());
+}
+
+TEST_F(FeedTest, UnreadableFileInParallelPollFailsAloneAndIsRetried) {
+  util::TaskPool pool(3);
+  write_dump("updates.0002.mrt", {10, 20}, "198.51.100.0/24");
+  DirectoryFeed feed(dir_.string(), reg_, {}, 0, pool);
+  ASSERT_EQ(feed.poll().batch.size(), 1u);
+  const auto marks_before = feed.export_marks();
+  ASSERT_EQ(marks_before.size(), 1u);
+
+  // 0002 grows while 0001 and 0003 land around it; 0002 then vanishes
+  // between the scan and its read, inside a multi-lane poll.
+  write_dump("updates.0001.mrt", {30, 40}, "192.0.2.0/24");
+  append_bytes("updates.0002.mrt", encode_dump({50, 60}, "203.0.113.0/24"));
+  write_dump("updates.0003.mrt", {70, 80}, "198.18.0.0/24");
+  const auto victim = (dir_ / "updates.0002.mrt").string();
+  const auto hidden = dir_.parent_path() / (dir_.filename().string() + ".hidden");
+  feed.set_before_read_hook([&](const std::string& path) {
+    if (path == victim) fs::rename(victim, hidden);
+  });
+  const auto poll = feed.poll();
+  EXPECT_EQ(poll.failed, (std::vector<std::string>{victim}));
+  EXPECT_EQ(poll.files, (std::vector<std::string>{(dir_ / "updates.0001.mrt").string(),
+                                                  (dir_ / "updates.0003.mrt").string()}));
+  ASSERT_EQ(poll.batch.size(), 2u);  // the neighbours' tuples, none of 0002's
+  EXPECT_EQ(poll.batch[0].path, (std::vector<bgp::Asn>{30, 40}));
+  EXPECT_EQ(poll.batch[1].path, (std::vector<bgp::Asn>{70, 80}));
+  const auto marks = feed.export_marks();
+  ASSERT_EQ(marks.size(), 3u);
+  EXPECT_EQ(marks[1], marks_before[0]);  // offset untouched
+
+  // The file comes back: the next poll reads exactly its unconsumed bytes.
+  feed.set_before_read_hook({});
+  fs::rename(hidden, victim);
+  const auto retry = feed.poll();
+  EXPECT_TRUE(retry.failed.empty());
+  EXPECT_EQ(retry.files, (std::vector<std::string>{victim}));
+  ASSERT_EQ(retry.batch.size(), 1u);
+  EXPECT_EQ(retry.batch[0].path, (std::vector<bgp::Asn>{50, 60}));
+  EXPECT_GT(feed.export_marks()[1].offset, marks_before[0].offset);
+}
+
+TEST_F(FeedTest, QuerySweepCompletesBesideAnInFlightParallelPoll) {
+  // The feed and the snapshot sweep share TaskPool::shared(). The poll's
+  // tasks park in the before-read hook until a sweep has started on another
+  // thread, so the sweep's parallel_for is issued while the poll holds the
+  // pool; both must finish, with the oracle's answer. A poll task that
+  // fanned out on the pool itself would be refused (std::logic_error) and
+  // surface as a failed file.
+  for (int i = 0; i < 6; ++i) {
+    write_dump("updates.000" + std::to_string(i) + ".mrt",
+               {static_cast<bgp::Asn>(10 + i), 20, static_cast<bgp::Asn>(30 + i)},
+               "198.51.100.0/24");
+  }
+  DirectoryFeed feed(dir_.string(), reg_);
+
+  StreamConfig config;
+  config.shards = 4;
+  config.engine.threads = 2;  // the sweep fans out on the shared pool at any size
+  StreamEngine engine(config);
+  core::Dataset initial;
+  for (int i = 0; i < 64; ++i) {
+    core::PathCommTuple t;
+    t.path = {static_cast<bgp::Asn>(1 + i % 9), static_cast<bgp::Asn>(20 + i % 5),
+              static_cast<bgp::Asn>(100 + i)};
+    t.comms = {bgp::CommunityValue::regular(static_cast<std::uint16_t>(1 + i % 9), 1)};
+    initial.push_back(std::move(t));
+  }
+  (void)engine.ingest(initial);
+
+  std::mutex m;
+  std::condition_variable cv;
+  bool poll_in_flight = false;
+  bool sweep_started = false;
+  feed.set_before_read_hook([&](const std::string&) {
+    std::unique_lock lock(m);
+    poll_in_flight = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return sweep_started; });
+  });
+  engine.set_after_collect_hook([&] {
+    {
+      const std::lock_guard lock(m);
+      sweep_started = true;
+    }
+    cv.notify_all();
+  });
+
+  FeedPoll poll;
+  std::thread poller([&] { poll = feed.poll(); });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return poll_in_flight; });
+  }
+  SnapshotPtr snap;
+  std::thread sweeper([&] { snap = engine.snapshot(); });
+  poller.join();
+  sweeper.join();
+
+  EXPECT_TRUE(poll.failed.empty());
+  EXPECT_EQ(poll.files.size(), 6u);
+  EXPECT_EQ(poll.batch.size(), 6u);
+  core::deduplicate(initial);
+  const auto oracle = core::ColumnEngine().run(initial);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->counter_map().size(), oracle.counter_map().size());
+  for (const auto& [asn, counters] : oracle.counter_map()) {
+    EXPECT_EQ(snap->counters(asn), counters) << "AS " << asn;
+    EXPECT_EQ(snap->usage(asn), oracle.usage(asn)) << "AS " << asn;
+  }
 }
 
 }  // namespace
